@@ -29,9 +29,9 @@ use std::time::Instant;
 
 use relaxreplay::prof::CodecPhases;
 use relaxreplay::wire::{
-    decode_chunked, decode_chunked_into, decode_chunked_profiled, decode_chunked_reference,
-    encode_chunked, encode_chunked_with_version, read_rrlog, ChunkedReader, ChunkedWriter,
-    DecodeScratch, DEFAULT_CHUNK_BYTES, MIN_VERSION, VERSION,
+    chunk_spans, decode_chunked, decode_chunked_into, decode_chunked_reference, encode_chunked,
+    encode_chunked_with_version, read_rrlog, ChunkedReader, ChunkedWriter, DecodeScratch,
+    DEFAULT_CHUNK_BYTES, MIN_VERSION, VERSION,
 };
 use relaxreplay::{IntervalLog, LogEntry, LogSink, LogSource};
 use rr_mem::CoreId;
@@ -202,12 +202,13 @@ fn push_sample(out: &mut Vec<Sample>, name: String, entries: usize, bytes: usize
 /// Times the steady-state decode of `bytes` — `decode_chunked_into` with
 /// a reused output log, the replay engine's actual ingest pattern (a
 /// fresh multi-hundred-MB output `Vec` per iteration would measure page
-/// faults, not the codec) — then runs one profiled pass for the phase
-/// decomposition.
+/// faults, not the codec) — then makes one more call on the same reused
+/// log with a `CodecPhases` probe for the phase decomposition, so the
+/// phases time the very path the median does.
 fn bench_decode_row(smoke: bool, out: &mut Vec<Sample>, tag: &str, entries: usize, bytes: &[u8]) {
     let mut reused = IntervalLog::new(CoreId::new(0));
     let ns = measure(smoke, bytes.len(), || {
-        decode_chunked_into(std::hint::black_box(bytes), &mut reused).expect("decodes");
+        decode_chunked_into(std::hint::black_box(bytes), &mut reused, &mut ()).expect("decodes");
         std::hint::black_box(&reused);
     });
     push_sample(
@@ -217,9 +218,9 @@ fn bench_decode_row(smoke: bool, out: &mut Vec<Sample>, tag: &str, entries: usiz
         bytes.len(),
         ns,
     );
-    drop(reused); // keep the profiled pass's peak footprint to one output log
     let mut phases = CodecPhases::default();
-    std::hint::black_box(decode_chunked_profiled(bytes, &mut phases).expect("decodes"));
+    decode_chunked_into(bytes, &mut reused, &mut phases).expect("decodes");
+    std::hint::black_box(&reused);
     println!("{:<28} {}", format!("  phases/{tag}"), phases.summary());
     out.last_mut().expect("just pushed").phases = Some(phases);
 }
@@ -378,13 +379,28 @@ fn reference_check() -> Result<usize, String> {
                 path.display()
             ));
         }
-        // The profiled decoder is a separate walk — gate its parity too.
+        // The phase probe rides the production decode: same result, and
+        // it must have counted exactly the chunks the framing walk sees.
         let mut phases = CodecPhases::default();
-        let profiled = decode_chunked_profiled(&bytes, &mut phases);
-        if profiled != fast {
+        let mut probed = IntervalLog::new(CoreId::new(0));
+        let probed = decode_chunked_into(&bytes, &mut probed, &mut phases).map(|()| probed);
+        if probed != fast {
             return Err(format!(
-                "{}: profiled decoder disagrees with the fast decoder",
+                "{}: probed decode disagrees with the fast decoder",
                 path.display()
+            ));
+        }
+        let (_, _, spans, _) =
+            chunk_spans(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
+        let span_payload: usize = spans.iter().map(|s| s.payload_bytes).sum();
+        if phases.chunks != spans.len() as u64 || phases.payload_bytes != span_payload as u64 {
+            return Err(format!(
+                "{}: probe counted {} chunk(s) / {} payload B, the framing has {} / {}",
+                path.display(),
+                phases.chunks,
+                phases.payload_bytes,
+                spans.len(),
+                span_payload
             ));
         }
         // And the range-parallel decoder (it falls back to the sequential

@@ -99,7 +99,7 @@ fn sample_log() -> IntervalLog {
 
 fn bench_log_codec(c: &mut Criterion) {
     let log = sample_log();
-    let flat = log.encode_flat();
+    let flat = log.flat_len();
     let chunked = log.encode();
 
     // Size comparison: flat fixed-width vs chunked varint/delta `.rrlog`,
@@ -117,20 +117,14 @@ fn bench_log_codec(c: &mut Criterion) {
     eprintln!(
         "log codec sizes: flat {} B ({:.1} B/kinstr), chunked {} B ({:.1} B/kinstr), \
          ratio {:.3}",
-        flat.len(),
-        per_kinstr(flat.len()),
+        flat,
+        per_kinstr(flat),
         chunked.len(),
         per_kinstr(chunked.len()),
-        chunked.len() as f64 / flat.len() as f64
+        chunked.len() as f64 / flat as f64
     );
 
-    c.bench_function("log_encode_flat", |b| {
-        b.iter(|| black_box(log.encode_flat()))
-    });
     c.bench_function("log_encode_chunked", |b| b.iter(|| black_box(log.encode())));
-    c.bench_function("log_decode_flat", |b| {
-        b.iter(|| black_box(IntervalLog::decode_flat(&flat).expect("decodes")))
-    });
     c.bench_function("log_decode_chunked", |b| {
         b.iter(|| black_box(IntervalLog::decode(&chunked).expect("decodes")))
     });

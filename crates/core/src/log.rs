@@ -171,6 +171,27 @@ impl IntervalLog {
             .count()
     }
 
+    /// Size in bytes of the log in a flat fixed-width layout: one core
+    /// byte, then per entry a tag byte plus every field at its full width
+    /// (`InorderBlock` 4, `ReorderedLoad` 8, `ReorderedStore` 20,
+    /// `ReorderedRmw` 20, or 28 with a stored value, `IntervalFrame` 10).
+    /// This is the uncompressed baseline the varint/delta `.rrlog`
+    /// encoding is measured against (`rec.*.flat_bytes` in the Figure 11
+    /// metrics).
+    #[must_use]
+    pub fn flat_len(&self) -> usize {
+        let entry = |e: &LogEntry| match e {
+            LogEntry::InorderBlock { .. } => 1 + 4,
+            LogEntry::ReorderedLoad { .. } => 1 + 8,
+            LogEntry::ReorderedStore { .. } => 1 + 8 + 8 + 4,
+            LogEntry::ReorderedRmw { stored, .. } => {
+                1 + 8 + 8 + if stored.is_some() { 8 } else { 0 } + 4
+            }
+            LogEntry::IntervalFrame { .. } => 1 + 2 + 8,
+        };
+        1 + self.entries.iter().map(entry).sum::<usize>()
+    }
+
     /// Serializes the log as the chunked, checksummed `.rrlog` wire
     /// format (see [`crate::wire`]) — a thin adapter over
     /// [`wire::encode_chunked`](crate::wire::encode_chunked).
@@ -192,148 +213,7 @@ impl IntervalLog {
     pub fn decode(bytes: &[u8]) -> Result<Self, crate::wire::WireError> {
         crate::wire::decode_chunked(bytes)
     }
-
-    /// Serializes the log with the legacy *flat* fixed-width encoding:
-    /// unframed, unversioned, checksum-free. Kept as the baseline the
-    /// chunked format is benchmarked against; new code should use
-    /// [`IntervalLog::encode`].
-    #[must_use]
-    pub fn encode_flat(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.entries.len() * 8 + 8);
-        out.push(self.core.index() as u8);
-        for e in &self.entries {
-            match e {
-                LogEntry::InorderBlock { instrs } => {
-                    out.push(0);
-                    out.extend_from_slice(&instrs.to_le_bytes());
-                }
-                LogEntry::ReorderedLoad { value } => {
-                    out.push(1);
-                    out.extend_from_slice(&value.to_le_bytes());
-                }
-                LogEntry::ReorderedStore {
-                    addr,
-                    value,
-                    offset,
-                } => {
-                    out.push(2);
-                    out.extend_from_slice(&addr.to_le_bytes());
-                    out.extend_from_slice(&value.to_le_bytes());
-                    out.extend_from_slice(&offset.to_le_bytes());
-                }
-                LogEntry::ReorderedRmw {
-                    loaded,
-                    addr,
-                    stored,
-                    offset,
-                } => {
-                    out.push(if stored.is_some() { 3 } else { 4 });
-                    out.extend_from_slice(&loaded.to_le_bytes());
-                    out.extend_from_slice(&addr.to_le_bytes());
-                    if let Some(s) = stored {
-                        out.extend_from_slice(&s.to_le_bytes());
-                    }
-                    out.extend_from_slice(&offset.to_le_bytes());
-                }
-                LogEntry::IntervalFrame { cisn, timestamp } => {
-                    out.push(5);
-                    out.extend_from_slice(&cisn.to_le_bytes());
-                    out.extend_from_slice(&timestamp.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    /// Deserializes a log produced by [`IntervalLog::encode_flat`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogDecodeError`] on truncated input or an unknown entry
-    /// tag.
-    pub fn decode_flat(bytes: &[u8]) -> Result<Self, LogDecodeError> {
-        let mut i = 0usize;
-        let take = |i: &mut usize, n: usize| -> Result<&[u8], LogDecodeError> {
-            let s = bytes
-                .get(*i..*i + n)
-                .ok_or(LogDecodeError::Truncated { at: *i })?;
-            *i += n;
-            Ok(s)
-        };
-        let core = CoreId::new(take(&mut i, 1)?[0]);
-        let mut entries = Vec::new();
-        while i < bytes.len() {
-            let tag = take(&mut i, 1)?[0];
-            let u64_at = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8 bytes"));
-            let entry = match tag {
-                0 => LogEntry::InorderBlock {
-                    instrs: u32::from_le_bytes(take(&mut i, 4)?.try_into().expect("4 bytes")),
-                },
-                1 => LogEntry::ReorderedLoad {
-                    value: u64_at(take(&mut i, 8)?),
-                },
-                2 => LogEntry::ReorderedStore {
-                    addr: u64_at(take(&mut i, 8)?),
-                    value: u64_at(take(&mut i, 8)?),
-                    offset: u32::from_le_bytes(take(&mut i, 4)?.try_into().expect("4 bytes")),
-                },
-                3 | 4 => {
-                    let loaded = u64_at(take(&mut i, 8)?);
-                    let addr = u64_at(take(&mut i, 8)?);
-                    let stored = if tag == 3 {
-                        Some(u64_at(take(&mut i, 8)?))
-                    } else {
-                        None
-                    };
-                    let offset = u32::from_le_bytes(take(&mut i, 4)?.try_into().expect("4 bytes"));
-                    LogEntry::ReorderedRmw {
-                        loaded,
-                        addr,
-                        stored,
-                        offset,
-                    }
-                }
-                5 => LogEntry::IntervalFrame {
-                    cisn: u16::from_le_bytes(take(&mut i, 2)?.try_into().expect("2 bytes")),
-                    timestamp: u64_at(take(&mut i, 8)?),
-                },
-                other => return Err(LogDecodeError::UnknownTag { tag: other, at: i }),
-            };
-            entries.push(entry);
-        }
-        Ok(IntervalLog { core, entries })
-    }
 }
-
-/// Errors from [`IntervalLog::decode_flat`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LogDecodeError {
-    /// The byte stream ended mid-entry.
-    Truncated {
-        /// Offset at which more bytes were needed.
-        at: usize,
-    },
-    /// An entry tag byte was not recognized.
-    UnknownTag {
-        /// The offending tag.
-        tag: u8,
-        /// Offset just past the tag.
-        at: usize,
-    },
-}
-
-impl fmt::Display for LogDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LogDecodeError::Truncated { at } => write!(f, "log truncated at byte {at}"),
-            LogDecodeError::UnknownTag { tag, at } => {
-                write!(f, "unknown log entry tag {tag} at byte {at}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LogDecodeError {}
 
 #[cfg(test)]
 mod tests {
@@ -374,55 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_encode_decode_round_trip() {
-        let log = sample_log();
-        let decoded = IntervalLog::decode_flat(&log.encode_flat()).expect("round trip");
-        assert_eq!(decoded, log);
-    }
-
-    /// Byte offsets in the flat encoding at which an entry (or the
-    /// header) ends — the only places a cut can produce a valid stream.
-    fn flat_entry_boundaries(log: &IntervalLog) -> Vec<usize> {
-        let mut boundaries = vec![1]; // after the core-id header byte
-        let mut at = 1usize;
-        for e in &log.entries {
-            at += match e {
-                LogEntry::InorderBlock { .. } => 1 + 4,
-                LogEntry::ReorderedLoad { .. } => 1 + 8,
-                LogEntry::ReorderedStore { .. } => 1 + 8 + 8 + 4,
-                LogEntry::ReorderedRmw { stored, .. } => {
-                    1 + 8 + 8 + if stored.is_some() { 8 } else { 0 } + 4
-                }
-                LogEntry::IntervalFrame { .. } => 1 + 2 + 8,
-            };
-            boundaries.push(at);
-        }
-        boundaries
-    }
-
-    #[test]
-    fn flat_truncation_is_detected_at_every_non_boundary_byte() {
-        let log = sample_log();
-        let bytes = log.encode_flat();
-        let boundaries = flat_entry_boundaries(&log);
-        assert_eq!(*boundaries.last().unwrap(), bytes.len());
-        for cut in 1..bytes.len() {
-            let result = IntervalLog::decode_flat(&bytes[..cut]);
-            if boundaries.contains(&cut) {
-                let decoded = result
-                    .unwrap_or_else(|e| panic!("cut at entry boundary {cut} must decode: {e}"));
-                let n = boundaries.iter().position(|&b| b == cut).unwrap();
-                assert_eq!(decoded.entries[..], log.entries[..n], "cut at {cut}");
-            } else {
-                assert!(
-                    matches!(result, Err(LogDecodeError::Truncated { .. })),
-                    "cut mid-entry at {cut} must yield Truncated, got {result:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn chunked_truncation_recovers_all_prior_chunks() {
         let log = sample_log();
         // Force multiple chunks so mid-chunk cuts have prior chunks to
@@ -449,16 +280,6 @@ mod tests {
         let (full, err) = crate::wire::decode_chunked_recover(&bytes);
         assert!(err.is_none());
         assert_eq!(full, log);
-    }
-
-    #[test]
-    fn flat_unknown_tag_is_detected() {
-        let mut bytes = sample_log().encode_flat();
-        bytes.push(99);
-        assert!(matches!(
-            IntervalLog::decode_flat(&bytes),
-            Err(LogDecodeError::UnknownTag { tag: 99, .. })
-        ));
     }
 
     #[test]
@@ -519,11 +340,24 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(IntervalLog::decode(&log.encode()).expect("chunked"), log);
-        assert_eq!(
-            IntervalLog::decode_flat(&log.encode_flat()).expect("flat"),
-            log
-        );
+        // Both delta codecs: v1/v2 carry frame deltas across chunks, v3
+        // resets them per chunk; neither may narrow a wide offset.
+        for version in [2, crate::wire::VERSION] {
+            let bytes = crate::wire::encode_chunked_with_version(&log, 8, version);
+            assert_eq!(
+                crate::wire::decode_chunked(&bytes).expect("decodes"),
+                log,
+                "v{version}"
+            );
+        }
+    }
+
+    #[test]
+    fn flat_len_is_the_fixed_width_size() {
+        // core byte, then tag + fields: block 1+4, load 1+8, block 1+4,
+        // store 1+8+8+4, failed rmw 1+8+8+4, block 1+4, frame 1+2+8.
+        assert_eq!(sample_log().flat_len(), 1 + 5 + 9 + 5 + 21 + 21 + 5 + 11);
+        assert_eq!(IntervalLog::new(CoreId::new(0)).flat_len(), 1);
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! this module observes the *replayer and codec themselves*: where host
 //! wall-clock goes inside the multithreaded replay engine
 //! (`rr_replay::prof`) and inside the `.rrlog` decode hot path
-//! ([`crate::wire::decode_chunked_profiled`]).
+//! ([`crate::wire::decode_chunked_into`]).
 //!
-//! Profiling is strictly a side channel: the profiled code paths are
-//! *separate functions* from the production paths, so the disabled case
-//! costs nothing, and the profiled variants produce bit-identical outputs
-//! (asserted by `tests/observability.rs` and the codec bench's
-//! differential gate). All numbers here are host wall-clock nanoseconds —
-//! like [`PhaseNanos`](https://docs.rs/), they are excluded from every
+//! Profiling is a probe *parameter* of the one production code path, not
+//! a separate copy of it: the decoder is generic over a [`CodecProbe`]
+//! and the threaded replay engine over an `EngineProbe`. Production calls
+//! pass `()`, whose hooks are empty and never read a clock, so the
+//! monomorphised hot loop is the unprofiled one; profiling passes a
+//! collector ([`CodecPhases`], `rr_replay::prof::EngineProfiler`) and so
+//! measures the code that ships. All numbers here are host wall-clock
+//! nanoseconds — like `PhaseNanos`, they are excluded from every
 //! determinism comparison.
 //!
 //! Three artifact shapes come out of the subsystem:
@@ -25,6 +27,7 @@
 //!   [`validate_prof_json`].
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use crate::trace::json;
 
@@ -42,9 +45,10 @@ pub const SPAN_CAP: usize = 1 << 20;
 /// Wall-clock decomposition of a chunked `.rrlog` decode: CRC
 /// verification vs varint entry decode vs output-buffer reservation.
 ///
-/// Filled by [`crate::wire::decode_chunked_profiled`]; the `rr-bench`
-/// codec harness records it per size so throughput cliffs are
-/// attributable to a phase instead of a guess.
+/// Filled by passing it as the [`CodecProbe`] of
+/// [`crate::wire::decode_chunked_into`]; the `rr-bench` codec harness
+/// records it per size so throughput cliffs are attributable to a phase
+/// instead of a guess.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodecPhases {
     /// Nanoseconds verifying chunk CRCs.
@@ -97,6 +101,57 @@ impl CodecPhases {
             "{{\"crc_ns\":{},\"entries_ns\":{},\"reserve_ns\":{},\"chunks\":{},\"payload_bytes\":{}}}",
             self.crc_ns, self.entries_ns, self.reserve_ns, self.chunks, self.payload_bytes
         )
+    }
+}
+
+/// A decode phase a [`CodecProbe`] attributes time to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CodecPhase {
+    /// Chunk CRC verification.
+    Crc,
+    /// Batched varint entry decode.
+    Entries,
+    /// Output entry-buffer reservation.
+    Reserve,
+}
+
+/// Observation hooks of the chunk walk behind every in-memory `.rrlog`
+/// decoder. `()` is the production probe: its hooks are empty, so the
+/// decoder monomorphised with it reads no clock. [`CodecPhases`] times
+/// each phase.
+pub trait CodecProbe {
+    /// Runs `f`, attributing its wall-clock time to `phase`.
+    fn time<R>(&mut self, phase: CodecPhase, f: impl FnOnce() -> R) -> R;
+    /// Counts one chunk whose `payload_bytes` decoded cleanly.
+    fn chunk(&mut self, payload_bytes: usize);
+}
+
+impl CodecProbe for () {
+    #[inline(always)]
+    fn time<R>(&mut self, _phase: CodecPhase, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+
+    #[inline(always)]
+    fn chunk(&mut self, _payload_bytes: usize) {}
+}
+
+impl CodecProbe for CodecPhases {
+    fn time<R>(&mut self, phase: CodecPhase, f: impl FnOnce() -> R) -> R {
+        let t = Instant::now();
+        let r = f();
+        let ns = t.elapsed().as_nanos() as u64;
+        *match phase {
+            CodecPhase::Crc => &mut self.crc_ns,
+            CodecPhase::Entries => &mut self.entries_ns,
+            CodecPhase::Reserve => &mut self.reserve_ns,
+        } += ns;
+        r
+    }
+
+    fn chunk(&mut self, payload_bytes: usize) {
+        self.chunks += 1;
+        self.payload_bytes += payload_bytes as u64;
     }
 }
 

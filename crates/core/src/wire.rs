@@ -31,6 +31,7 @@ use std::path::Path;
 use rr_mem::CoreId;
 
 use crate::log::{IntervalLog, LogEntry};
+use crate::prof::{CodecPhase, CodecProbe};
 
 /// File magic, first four bytes of every `.rrlog`.
 pub const MAGIC: [u8; 4] = *b"RRLG";
@@ -881,18 +882,12 @@ impl<R: Read> ChunkedReader<R> {
     pub fn with_scratch(mut r: R, mut scratch: DecodeScratch) -> Result<Self, WireError> {
         let mut header = [0u8; 7];
         read_exact_or(&mut r, &mut header, WireError::Truncated { chunk: 0 })?;
-        if header[..4] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if !version_supported(version) {
-            return Err(WireError::UnsupportedVersion { version });
-        }
+        let (core, version) = parse_header(&header)?;
         scratch.payload.clear();
         scratch.entries.clear();
         Ok(ChunkedReader {
             r,
-            core: CoreId::new(header[6]),
+            core,
             scratch,
             next: 0,
             pending: None,
@@ -1135,14 +1130,26 @@ pub fn decode_chunked(bytes: &[u8]) -> Result<IntervalLog, WireError> {
 /// allocation each time. `log` is cleared (core re-stamped, entries
 /// truncated but capacity kept) before decoding.
 ///
+/// `probe` observes the decode: `&mut ()` for the production path (no
+/// clock is read), or a [`CodecPhases`](crate::prof::CodecPhases) to time
+/// the CRC, entry-decode and reservation phases of this same path.
+///
 /// # Errors
 ///
 /// Exactly the conditions of [`decode_chunked`]; on error `log` holds the
 /// recovered prefix, as [`decode_chunked_recover`] would return it.
-pub fn decode_chunked_into(bytes: &[u8], log: &mut IntervalLog) -> Result<(), WireError> {
-    match decode_chunked_recover_into(bytes, log) {
+pub fn decode_chunked_into<P: CodecProbe>(
+    bytes: &[u8],
+    log: &mut IntervalLog,
+    probe: &mut P,
+) -> Result<(), WireError> {
+    log.entries.clear();
+    log.core = CoreId::new(0);
+    let (core, version) = parse_header(bytes)?;
+    log.core = core;
+    match ChunkWalk::whole(bytes, version, Damage::Stop).run(probe, &mut log.entries, |_, _| {}) {
         None => Ok(()),
-        Some(e) => Err(e),
+        Some((e, _)) => Err(e),
     }
 }
 
@@ -1154,17 +1161,17 @@ pub fn decode_chunked_into(bytes: &[u8], log: &mut IntervalLog) -> Result<(), Wi
 #[must_use]
 pub fn decode_chunked_recover(bytes: &[u8]) -> (IntervalLog, Option<WireError>) {
     let mut log = IntervalLog::new(CoreId::new(0));
-    let err = decode_chunked_recover_into(bytes, &mut log);
+    let err = decode_chunked_into(bytes, &mut log, &mut ()).err();
     (log, err)
 }
 
-/// Output-reservation policy for the streaming decoders.
+/// Output-reservation policy for the chunk walk.
 ///
 /// Entry width varies 2..10+ bytes with the reordered mix, so a fixed
 /// guess is always wrong somewhere, and extrapolating the *first* chunk's
 /// entry density across a multi-GB stream over-reserves wildly when the
-/// stream is front-loaded with dense entries. Instead the decoders
-/// re-extrapolate every [`RESERVE_CHECK_CHUNKS`] chunks from *cumulative*
+/// stream is front-loaded with dense entries. Instead the walk
+/// re-extrapolates every [`RESERVE_CHECK_CHUNKS`] chunks from *cumulative*
 /// observed density, clamped twice:
 ///
 /// * by what the remaining bytes can physically hold (an entry is at
@@ -1196,113 +1203,117 @@ fn reserve_for_remainder(
     }
 }
 
-/// [`decode_chunked_recover`] into a reused log (see
-/// [`decode_chunked_into`] for the reuse contract).
-#[must_use]
-pub fn decode_chunked_recover_into(bytes: &[u8], log: &mut IntervalLog) -> Option<WireError> {
-    log.entries.clear();
-    log.core = CoreId::new(0);
-    let (core, version) = match parse_header(bytes) {
-        Ok(h) => h,
-        Err(e) => return Some(e),
-    };
-    log.core = core;
-    // Seed capacity for the first chunk only (~3 payload bytes per
-    // entry); reserve_for_remainder grows it as density is observed.
-    let seed = bytes.len().min(DEFAULT_CHUNK_BYTES + 16) / 3;
-    if log.entries.capacity() < seed {
-        log.entries.reserve(seed);
-    }
-    let mut state = DeltaState::default();
-    let mut pos = 7usize;
-    let mut index = 0usize;
-    let mut payload_seen = 0usize;
-    while let Some(raw) = next_raw_chunk(bytes, &mut pos, index) {
-        let raw = match raw {
-            Ok(r) => r,
-            Err(e) => return Some(e),
-        };
-        let computed = crc32(raw.payload);
-        if raw.stored_crc != computed {
-            return Some(WireError::CrcMismatch {
-                chunk: index,
-                stored: raw.stored_crc,
-                computed,
-            });
-        }
-        if version >= CHUNK_INDEPENDENT_VERSION {
-            state = DeltaState::default();
-        }
-        if let Err(e) = decode_chunk_entries(raw.payload, &mut state, index, &mut log.entries) {
-            return Some(e);
-        }
-        payload_seen += raw.payload.len();
-        if index.is_multiple_of(RESERVE_CHECK_CHUNKS) {
-            reserve_for_remainder(&mut log.entries, payload_seen, bytes.len() - pos);
-        }
-        index += 1;
-    }
-    None
+/// What the chunk walk does at a damaged chunk.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Damage {
+    /// End the walk at the first error.
+    Stop,
+    /// Note the first error and go on at the next frame, keeping what
+    /// the damaged chunk decoded before its fault. A frame cut short
+    /// still ends the walk.
+    Skip,
 }
 
-/// [`decode_chunked`] with per-phase wall-clock attribution: CRC
-/// verification vs batched varint entry decode vs output-buffer
-/// reservation, accumulated into `phases`.
-///
-/// This is a *separate* walk from the production decoder — the hot path
-/// stays timer-free — and is differentially tested (and CI-gated via the
-/// codec bench's `reference_check`) to return bit-identical logs and
-/// errors. `rr-bench` uses it to decompose the large-stream decode cliff;
-/// phase timings land in `BENCH_codec.json` rows.
-///
-/// # Errors
-///
-/// Exactly the conditions of [`decode_chunked`]. `phases` is filled with
-/// whatever work happened before the error.
-pub fn decode_chunked_profiled(
-    bytes: &[u8],
-    phases: &mut crate::prof::CodecPhases,
-) -> Result<IntervalLog, WireError> {
-    use std::time::Instant;
-    let (core, version) = parse_header(bytes)?;
-    let mut log = IntervalLog::new(core);
-    let t = Instant::now();
-    log.entries
-        .reserve(bytes.len().min(DEFAULT_CHUNK_BYTES + 16) / 3);
-    phases.reserve_ns += t.elapsed().as_nanos() as u64;
-    let mut state = DeltaState::default();
-    let mut pos = 7usize;
-    let mut index = 0usize;
-    let mut payload_seen = 0usize;
-    while let Some(raw) = next_raw_chunk(bytes, &mut pos, index) {
-        let raw = raw?;
-        let t = Instant::now();
-        let computed = crc32(raw.payload);
-        phases.crc_ns += t.elapsed().as_nanos() as u64;
-        if raw.stored_crc != computed {
-            return Err(WireError::CrcMismatch {
-                chunk: index,
-                stored: raw.stored_crc,
-                computed,
-            });
+/// The one chunk walk behind every in-memory decoder: framing, CRC,
+/// delta reset on self-contained (v3+) chunks, batched entry decode, and
+/// the output-reservation policy. The decoders differ only in the frames
+/// they walk, their [`Damage`] policy, and what they do with each
+/// chunk's [`ChunkInfo`].
+struct ChunkWalk<'a> {
+    /// The stream, ending where the walk ends.
+    bytes: &'a [u8],
+    version: u16,
+    /// Byte offset of the first frame to walk.
+    start: usize,
+    /// Stream-wide index of that frame, so errors name the chunk a
+    /// whole-stream decode would.
+    first_index: usize,
+    damage: Damage,
+}
+
+impl<'a> ChunkWalk<'a> {
+    fn whole(bytes: &'a [u8], version: u16, damage: Damage) -> Self {
+        ChunkWalk {
+            bytes,
+            version,
+            start: 7,
+            first_index: 0,
+            damage,
         }
-        if version >= CHUNK_INDEPENDENT_VERSION {
-            state = DeltaState::default();
-        }
-        let t = Instant::now();
-        decode_chunk_entries(raw.payload, &mut state, index, &mut log.entries)?;
-        phases.entries_ns += t.elapsed().as_nanos() as u64;
-        phases.chunks += 1;
-        phases.payload_bytes += raw.payload.len() as u64;
-        payload_seen += raw.payload.len();
-        if index.is_multiple_of(RESERVE_CHECK_CHUNKS) {
-            let t = Instant::now();
-            reserve_for_remainder(&mut log.entries, payload_seen, bytes.len() - pos);
-            phases.reserve_ns += t.elapsed().as_nanos() as u64;
-        }
-        index += 1;
     }
-    Ok(log)
+
+    /// Appends the walked chunks' entries to `out`, handing `visit` each
+    /// walked chunk's [`ChunkInfo`] (without `first_timestamp`). Returns
+    /// the first error with the length `out` had when it struck.
+    #[inline]
+    fn run<P: CodecProbe>(
+        &self,
+        probe: &mut P,
+        out: &mut Vec<LogEntry>,
+        mut visit: impl FnMut(ChunkInfo, &mut Vec<LogEntry>),
+    ) -> Option<(WireError, usize)> {
+        let bytes = self.bytes;
+        // Seed capacity for the first chunk only (~3 payload bytes per
+        // entry); reserve_for_remainder grows it as density is observed.
+        let seed = bytes.len().min(DEFAULT_CHUNK_BYTES + 16) / 3;
+        probe.time(CodecPhase::Reserve, || {
+            if out.capacity() < seed {
+                out.reserve(seed);
+            }
+        });
+        let mut fault = None;
+        let mut state = DeltaState::default();
+        let (mut pos, mut index, mut payload_seen) = (self.start, self.first_index, 0);
+        loop {
+            let offset = pos;
+            let raw = match next_raw_chunk(bytes, &mut pos, index) {
+                None => break,
+                Some(Ok(raw)) => raw,
+                Some(Err(e)) => return fault.or(Some((e, out.len()))),
+            };
+            let computed = probe.time(CodecPhase::Crc, || crc32(raw.payload));
+            let crc_ok = raw.stored_crc == computed;
+            let first_entry = out.len();
+            let decoded = if crc_ok {
+                if self.version >= CHUNK_INDEPENDENT_VERSION {
+                    state = DeltaState::default();
+                }
+                probe.time(CodecPhase::Entries, || {
+                    decode_chunk_entries(raw.payload, &mut state, index, out)
+                })
+            } else {
+                Err(WireError::CrcMismatch {
+                    chunk: index,
+                    stored: raw.stored_crc,
+                    computed,
+                })
+            };
+            match decoded {
+                Ok(()) => probe.chunk(raw.payload.len()),
+                Err(e) if self.damage == Damage::Stop => return Some((e, out.len())),
+                Err(e) => {
+                    fault.get_or_insert((e, out.len()));
+                }
+            }
+            let info = ChunkInfo {
+                index,
+                offset,
+                payload_bytes: raw.payload.len(),
+                entries: out.len() - first_entry,
+                crc_ok,
+                first_timestamp: None,
+            };
+            visit(info, out);
+            payload_seen += raw.payload.len();
+            if (index - self.first_index).is_multiple_of(RESERVE_CHECK_CHUNKS) {
+                probe.time(CodecPhase::Reserve, || {
+                    reserve_for_remainder(out, payload_seen, bytes.len() - pos);
+                });
+            }
+            index += 1;
+        }
+        fault
+    }
 }
 
 /// The original entry-at-a-time decoder, retained verbatim as the
@@ -1391,55 +1402,21 @@ pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
         }
     };
     let mut log = IntervalLog::new(core);
-    let mut first_err = None;
-    let mut suspect_from = None;
-    let mut note = |e: WireError, at: usize, slot: &mut Option<WireError>| {
-        if slot.is_none() {
-            *slot = Some(e);
-            if version < CHUNK_INDEPENDENT_VERSION {
-                suspect_from = Some(at);
-            }
-        }
+    let walk = ChunkWalk::whole(bytes, version, Damage::Skip);
+    let (err, sound) = match walk.run(&mut (), &mut log.entries, |_, _| {}) {
+        Some((e, sound)) => (Some(e), sound),
+        None => (None, log.entries.len()),
     };
-    let mut state = DeltaState::default();
-    let mut pos = 7usize;
-    let mut index = 0usize;
-    while let Some(raw) = next_raw_chunk(bytes, &mut pos, index) {
-        let raw = match raw {
-            Ok(r) => r,
-            Err(e) => {
-                note(e, log.entries.len(), &mut first_err);
-                break;
-            }
-        };
-        let computed = crc32(raw.payload);
-        if raw.stored_crc != computed {
-            note(
-                WireError::CrcMismatch {
-                    chunk: index,
-                    stored: raw.stored_crc,
-                    computed,
-                },
-                log.entries.len(),
-                &mut first_err,
-            );
-        } else {
-            if version >= CHUNK_INDEPENDENT_VERSION {
-                state = DeltaState::default();
-            }
-            if let Err(e) = decode_chunk_entries(raw.payload, &mut state, index, &mut log.entries) {
-                // The decoded prefix of the chunk stays (its timestamps
-                // are sound); everything after it is suspect on v1/v2.
-                note(e, log.entries.len(), &mut first_err);
-            }
-        }
-        index += 1;
-    }
-    let suspect = suspect_from.map_or(0, |from| log.entries.len() - from);
+    // On v1/v2 every entry after the first fault resumed delta decoding
+    // with stale context; the faulty chunk's own decoded prefix is sound.
     Salvage {
+        suspect: if version < CHUNK_INDEPENDENT_VERSION {
+            log.entries.len() - sound
+        } else {
+            0
+        },
         log,
-        err: first_err,
-        suspect,
+        err,
     }
 }
 
@@ -1501,70 +1478,20 @@ pub fn chunk_map_with(
     scratch: &mut DecodeScratch,
 ) -> Result<(CoreId, Vec<ChunkInfo>, Option<WireError>), WireError> {
     let (core, version) = parse_header(bytes)?;
-
     let mut map = Vec::new();
-    let mut first_err = None;
-    let note = |e: WireError, slot: &mut Option<WireError>| {
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    };
-    let mut state = DeltaState::default();
-    let mut pos = 7usize;
-    let mut index = 0usize;
-    loop {
-        let offset = pos;
-        let Some(raw) = next_raw_chunk(bytes, &mut pos, index) else {
-            break;
-        };
-        let raw = match raw {
-            Ok(r) => r,
-            Err(e) => {
-                note(e, &mut first_err);
-                break;
-            }
-        };
-        let computed = crc32(raw.payload);
-        let crc_ok = raw.stored_crc == computed;
-        let mut entries = 0usize;
-        let mut first_timestamp = None;
-        if crc_ok {
-            if version >= CHUNK_INDEPENDENT_VERSION {
-                state = DeltaState::default();
-            }
-            scratch.entries.clear();
-            match decode_chunk_entries(raw.payload, &mut state, index, &mut scratch.entries) {
-                Ok(()) => entries = scratch.entries.len(),
-                Err(e) => {
-                    entries = scratch.entries.len();
-                    note(e, &mut first_err);
-                }
-            }
-            first_timestamp = scratch.entries.iter().find_map(|e| match e {
-                LogEntry::IntervalFrame { timestamp, .. } => Some(*timestamp),
-                _ => None,
-            });
-        } else {
-            note(
-                WireError::CrcMismatch {
-                    chunk: index,
-                    stored: raw.stored_crc,
-                    computed,
-                },
-                &mut first_err,
-            );
-        }
-        map.push(ChunkInfo {
-            index,
-            offset,
-            payload_bytes: raw.payload.len(),
-            entries,
-            crc_ok,
-            first_timestamp,
+    // Each visit reads and then drops its chunk's entries, so the scratch
+    // holds one chunk at a time.
+    scratch.entries.clear();
+    let walk = ChunkWalk::whole(bytes, version, Damage::Skip);
+    let fault = walk.run(&mut (), &mut scratch.entries, |mut info, entries| {
+        info.first_timestamp = entries.iter().find_map(|e| match e {
+            LogEntry::IntervalFrame { timestamp, .. } => Some(*timestamp),
+            _ => None,
         });
-        index += 1;
-    }
-    Ok((core, map, first_err))
+        map.push(info);
+        entries.clear();
+    });
+    Ok((core, map, fault.map(|(e, _)| e)))
 }
 
 /// One chunk's frame position inside an `.rrlog` stream, from the cheap
@@ -1639,34 +1566,25 @@ pub fn decode_chunked_range(
     first_index: usize,
     out: &mut Vec<LogEntry>,
 ) -> Result<(), WireError> {
-    // One reservation up front instead of doubling through hundreds of
-    // reallocations: the recorder's entry mix runs ~4-6 payload bytes per
-    // entry, so a quarter of the payload over-reserves mildly; a denser
-    // stream (2 bytes/entry) costs at most one doubling.
-    let total_payload: usize = spans.iter().map(|s| s.payload_bytes).sum();
-    out.reserve(total_payload / 4);
-    for (i, span) in spans.iter().enumerate() {
-        let index = first_index + i;
-        let payload_start = span.offset + 4;
-        let payload = bytes
-            .get(payload_start..payload_start + span.payload_bytes)
-            .ok_or(WireError::Truncated { chunk: index })?;
-        let crc_bytes = bytes
-            .get(payload_start + span.payload_bytes..payload_start + span.payload_bytes + 4)
-            .ok_or(WireError::Truncated { chunk: index })?;
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(WireError::CrcMismatch {
-                chunk: index,
-                stored,
-                computed,
-            });
-        }
-        let mut state = DeltaState::default();
-        decode_chunk_entries(payload, &mut state, index, out)?;
+    let (Some(first), Some(last)) = (spans.first(), spans.last()) else {
+        return Ok(());
+    };
+    // One reservation up front instead of growing through the walk's
+    // first-chunk seed: the recorder's entry mix runs ~4-6 payload bytes
+    // per entry, so a quarter of the payload over-reserves mildly.
+    out.reserve(spans.iter().map(|s| s.payload_bytes).sum::<usize>() / 4);
+    let end = (last.offset + 8 + last.payload_bytes).min(bytes.len());
+    let walk = ChunkWalk {
+        bytes: &bytes[..end],
+        version: CHUNK_INDEPENDENT_VERSION,
+        start: first.offset,
+        first_index,
+        damage: Damage::Stop,
+    };
+    match walk.run(&mut (), out, |_, _| {}) {
+        None => Ok(()),
+        Some((e, _)) => Err(e),
     }
-    Ok(())
 }
 
 /// Writes `log` to `path` as an `.rrlog` file.
@@ -1979,7 +1897,7 @@ mod tests {
                 timestamp: i * 900,
             });
         }
-        let flat = log.encode_flat().len();
+        let flat = log.flat_len();
         let chunked = encode_chunked(&log).len();
         assert!(
             chunked * 2 < flat,
@@ -2016,15 +1934,24 @@ mod tests {
     #[test]
     fn profiled_decoder_matches_plain_and_attributes_phases() {
         let log = sample_log();
+        let probed = |bytes: &[u8], phases: &mut crate::prof::CodecPhases| {
+            let mut out = IntervalLog::new(CoreId::new(0));
+            decode_chunked_into(bytes, &mut out, phases).map(|()| out)
+        };
         for chunk_bytes in [1, 8, 64, DEFAULT_CHUNK_BYTES] {
             let bytes = encode_chunked_with(&log, chunk_bytes);
             let mut phases = crate::prof::CodecPhases::default();
             assert_eq!(
-                decode_chunked_profiled(&bytes, &mut phases),
+                probed(&bytes, &mut phases),
                 decode_chunked(&bytes),
                 "chunk_bytes={chunk_bytes}"
             );
-            assert!(phases.chunks > 0, "chunk_bytes={chunk_bytes}");
+            let (_, _, spans, _) = chunk_spans(&bytes).expect("header");
+            assert_eq!(
+                phases.chunks,
+                spans.len() as u64,
+                "chunk_bytes={chunk_bytes}"
+            );
             assert_eq!(
                 phases.payload_bytes,
                 (bytes.len() - 7 - 8 * phases.chunks as usize) as u64,
@@ -2038,7 +1965,7 @@ mod tests {
             corrupted[i] ^= 0x40;
             let mut phases = crate::prof::CodecPhases::default();
             assert_eq!(
-                decode_chunked_profiled(&corrupted, &mut phases),
+                probed(&corrupted, &mut phases),
                 decode_chunked(&corrupted),
                 "flip at {i}"
             );
@@ -2046,7 +1973,7 @@ mod tests {
         for cut in 0..bytes.len() {
             let mut phases = crate::prof::CodecPhases::default();
             assert_eq!(
-                decode_chunked_profiled(&bytes[..cut], &mut phases),
+                probed(&bytes[..cut], &mut phases),
                 decode_chunked(&bytes[..cut]),
                 "cut at {cut}"
             );
@@ -2271,16 +2198,16 @@ mod tests {
         let bytes_b = encode_chunked(&b);
 
         let mut out = IntervalLog::new(CoreId::new(9));
-        decode_chunked_into(&bytes_a, &mut out).expect("decodes");
+        decode_chunked_into(&bytes_a, &mut out, &mut ()).expect("decodes");
         assert_eq!(out, a);
         let cap = out.entries.capacity();
-        decode_chunked_into(&bytes_b, &mut out).expect("decodes");
+        decode_chunked_into(&bytes_b, &mut out, &mut ()).expect("decodes");
         assert_eq!(out, b);
         assert!(out.entries.capacity() >= cap, "capacity is retained");
         // Error parity with the fresh-log path, including recovered prefix.
         let cut = &bytes_a[..bytes_a.len() - 1];
         let (fresh, fresh_err) = decode_chunked_recover(cut);
-        let reused_err = decode_chunked_into(cut, &mut out).unwrap_err();
+        let reused_err = decode_chunked_into(cut, &mut out, &mut ()).unwrap_err();
         assert_eq!(Some(reused_err), fresh_err);
         assert_eq!(out, fresh);
     }

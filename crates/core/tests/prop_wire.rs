@@ -192,21 +192,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn flat_and_chunked_decode_agree(
-        core in 0u8..32,
-        entries in proptest::collection::vec(entry_strategy(), 0..150),
-    ) {
-        let log = IntervalLog {
-            core: CoreId::new(core),
-            entries,
-        };
-        let via_flat = IntervalLog::decode_flat(&log.encode_flat()).expect("flat codec");
-        let via_wire = wire::decode_chunked(&wire::encode_chunked(&log)).expect("wire codec");
-        prop_assert_eq!(&via_flat, &log);
-        prop_assert_eq!(&via_wire, &log);
-    }
-
     /// Max-length-varint stress: entries whose every field is at or near
     /// the u64/u32 ceiling produce 5–10-byte varints back to back, so at
     /// chunk sizes 1..64 the SWAR word loop hits varints spanning word

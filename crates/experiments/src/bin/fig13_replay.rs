@@ -89,7 +89,7 @@ fn scaling_table(runs: &[WorkloadRun], size: u32) -> Result<Table, rr_sim::Error
 }
 
 /// Blame entries for every run × variant, with a measured engine
-/// timeline (span-instrumented threaded replay, verified) attached to
+/// timeline (threaded replay under the profiling probe, verified) attached to
 /// each Opt-4K entry.
 fn profiled_entries(
     runs: &[WorkloadRun],

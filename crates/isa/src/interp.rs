@@ -149,6 +149,7 @@ impl<'p> Interp<'p> {
     /// Executes one instruction against `mem` — any [`Memory`]
     /// implementation: the plain [`MemImage`](crate::MemImage) or a
     /// concurrently shared [`SharedMemHandle`](crate::SharedMemHandle).
+    #[inline]
     pub fn step<M: Memory>(&mut self, mem: &mut M) -> StepEvent {
         if self.halted {
             return StepEvent::Halted;

@@ -28,12 +28,22 @@
 //! loads. The first replay error aborts the pool and is returned typed —
 //! a corrupt DAG can neither hang nor panic the engine (acyclicity is
 //! validated at DAG construction).
+//!
+//! ## Probes
+//!
+//! [`execute_threaded`] is generic over an [`EngineProbe`] that observes
+//! each worker's queue pops, waits, interval executions and lock
+//! acquisitions. Production replay passes `()`: every hook is an empty
+//! default method and its clock reads nothing, so the monomorphised loop
+//! is the unobserved one. The profiler in [`crate::prof`] passes a
+//! collector instead, and so times this very loop rather than a copy.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
+use relaxreplay::prof::SpanKind;
 use relaxreplay::IntervalOrdering;
 use rr_isa::{Interp, MemImage, Program, SharedMem};
 use rr_mem::CoreId;
@@ -106,7 +116,14 @@ pub fn replay_with(
                 Some(o) => IntervalDag::partial_order(programs.len(), logs, o)?,
                 None => IntervalDag::total_order(programs.len(), logs)?,
             };
-            execute_threaded(programs, &dag, mem, cost, engine.resolved_workers())
+            execute_threaded(
+                programs,
+                &dag,
+                mem,
+                cost,
+                engine.resolved_workers(),
+                &mut (),
+            )
         }
     }
 }
@@ -126,7 +143,63 @@ pub fn replay_threaded(
     workers: usize,
 ) -> Result<ReplayOutcome, ReplayError> {
     let dag = IntervalDag::partial_order(programs.len(), logs, orderings)?;
-    execute_threaded(programs, &dag, mem, cost, workers)
+    execute_threaded(programs, &dag, mem, cost, workers, &mut ())
+}
+
+/// Observation hooks of [`execute_threaded`]'s worker loop.
+///
+/// `()` is the production probe: it keeps no state, its clock is the
+/// constant 0, and every other hook is an empty default, so the engine
+/// monomorphised with it does no probe work at all. The
+/// [`EngineProfiler`](crate::prof::EngineProfiler) collector records
+/// per-worker span timelines and counters from the same hooks.
+pub trait EngineProbe: Sync {
+    /// Per-worker state, owned by the worker thread for the pool's life.
+    type Worker: Send;
+
+    /// Fresh state for pool worker `index`.
+    fn worker(&self, index: usize) -> Self::Worker;
+    /// Reads the probe's clock, in nanoseconds.
+    fn now(&self) -> u64;
+
+    /// Called once with the DAG's node count, just before the pool starts.
+    fn begin(&mut self, _nodes: usize) {}
+    /// Called once, after every worker has left the pool.
+    fn end(&mut self) {}
+    /// Takes back a worker's state as the worker leaves the pool.
+    fn retire(&self, _worker: Self::Worker) {}
+    /// The worker spent `since` until now on `kind`; for
+    /// [`SpanKind::Exec`], DAG node `node` of core `core`.
+    fn span(
+        &self,
+        _worker: &mut Self::Worker,
+        _kind: SpanKind,
+        _since: u64,
+        _core: usize,
+        _node: usize,
+    ) {
+    }
+    /// The worker is about to take the shared ready-heap lock.
+    fn queue_lock(&self, _worker: &mut Self::Worker) {}
+    /// The worker popped a node from a heap `depth` deep (the popped node
+    /// included).
+    fn popped(&self, _worker: &mut Self::Worker, _depth: usize) {}
+    /// The worker took a core's state lock; `contended` if it was held.
+    fn core_lock(&self, _worker: &mut Self::Worker, _contended: bool) {}
+    /// An interval failed to replay; the pool is about to stop.
+    fn failed(&self) {}
+}
+
+impl EngineProbe for () {
+    type Worker = ();
+
+    #[inline(always)]
+    fn worker(&self, _index: usize) {}
+
+    #[inline(always)]
+    fn now(&self) -> u64 {
+        0
+    }
 }
 
 struct CoreState<'p> {
@@ -144,19 +217,21 @@ struct Queue {
     done: bool,
 }
 
-/// Executes a validated [`IntervalDag`] on a scoped worker pool.
+/// Executes a validated [`IntervalDag`] on a scoped worker pool, observed
+/// by `probe` (`&mut ()` for plain replay; see [`EngineProbe`]).
 ///
 /// # Errors
 ///
 /// Any [`ReplayError`] raised while executing an interval (the first one
 /// aborts the pool), or the DAG validation errors if the DAG and
 /// `programs` disagree on the thread count.
-pub fn execute_threaded(
+pub fn execute_threaded<P: EngineProbe>(
     programs: &[Program],
     dag: &IntervalDag<'_>,
     mem: MemImage,
     cost: &CostModel,
     workers: usize,
+    probe: &mut P,
 ) -> Result<ReplayOutcome, ReplayError> {
     if dag.threads() != programs.len() {
         return Err(ReplayError::ThreadCountMismatch {
@@ -193,29 +268,61 @@ pub fn execute_threaded(
     let error: Mutex<Option<ReplayError>> = Mutex::new(None);
 
     let pool = workers.clamp(1, nodes.len().max(1));
+    probe.begin(nodes.len());
+    let shared_probe = &*probe;
     std::thread::scope(|s| {
-        for _ in 0..pool {
-            s.spawn(|| {
+        for index in 0..pool {
+            let (probe, queue, cond, error, cores, deps, shared) =
+                (shared_probe, &queue, &cond, &error, &cores, &deps, &shared);
+            s.spawn(move || {
+                let mut w = probe.worker(index);
                 let mut memh = shared.handle();
-                loop {
+                'work: loop {
                     let node = {
+                        let mut since = probe.now();
+                        probe.queue_lock(&mut w);
                         let mut q = queue.lock().expect("replay queue poisoned");
                         loop {
                             if q.done {
-                                return;
+                                drop(q);
+                                probe.span(&mut w, SpanKind::Idle, since, 0, 0);
+                                break 'work;
                             }
-                            match q.ready.pop() {
-                                Some(Reverse((_, id))) => break id,
-                                None => q = cond.wait(q).expect("replay queue poisoned"),
+                            if let Some(Reverse((_, id))) = q.ready.pop() {
+                                probe.popped(&mut w, q.ready.len() + 1);
+                                probe.span(&mut w, SpanKind::QueuePop, since, 0, 0);
+                                break id;
+                            }
+                            let wait = probe.now();
+                            q = cond.wait(q).expect("replay queue poisoned");
+                            if q.done {
+                                // A wake into shutdown was idle time, not a
+                                // dependency stall: the check above records
+                                // it as idle from the wait's start.
+                                since = wait;
+                            } else {
+                                probe.span(&mut w, SpanKind::DepWait, wait, 0, 0);
+                                since = probe.now();
                             }
                         }
                     };
                     let n = &nodes[node];
+                    let exec = probe.now();
                     // Same-core intervals are chained in the DAG, so this
                     // lock is uncontended; it exists to hand the core's
-                    // architectural state from worker to worker.
+                    // architectural state from worker to worker. Trying
+                    // first lets a probe see contention if it ever occurs.
                     let result = {
-                        let mut cs = cores[n.core].lock().expect("core state poisoned");
+                        let mut cs = match cores[n.core].try_lock() {
+                            Ok(g) => {
+                                probe.core_lock(&mut w, false);
+                                g
+                            }
+                            Err(_) => {
+                                probe.core_lock(&mut w, true);
+                                cores[n.core].lock().expect("core state poisoned")
+                            }
+                        };
                         cs.events.intervals += 1;
                         let CoreState {
                             interp,
@@ -231,8 +338,10 @@ pub fn execute_threaded(
                             events,
                         )
                     };
+                    probe.span(&mut w, SpanKind::Exec, exec, n.core, node);
                     match result {
                         Err(e) => {
+                            probe.failed();
                             let mut slot = error.lock().expect("error slot poisoned");
                             if slot.is_none() {
                                 *slot = Some(e);
@@ -242,7 +351,7 @@ pub fn execute_threaded(
                             q.done = true;
                             drop(q);
                             cond.notify_all();
-                            return;
+                            break 'work;
                         }
                         Ok(()) => {
                             let mut newly_ready = Vec::new();
@@ -251,6 +360,7 @@ pub fn execute_threaded(
                                     newly_ready.push(succ);
                                 }
                             }
+                            probe.queue_lock(&mut w);
                             let mut q = queue.lock().expect("replay queue poisoned");
                             q.executed += 1;
                             if q.executed == nodes.len() {
@@ -267,9 +377,11 @@ pub fn execute_threaded(
                         }
                     }
                 }
+                probe.retire(w);
             });
         }
     });
+    probe.end();
 
     if let Some(e) = error.into_inner().expect("error slot poisoned") {
         return Err(e);

@@ -1,5 +1,5 @@
 //! `rr_prof` — profiling the replay engine itself: critical-path blame
-//! over the interval DAG and a span-instrumented twin of the threaded
+//! over the interval DAG and a span-recording probe for the threaded
 //! executor.
 //!
 //! Two questions this module answers that nothing else in the system can:
@@ -11,16 +11,16 @@
 //!   start-to-finish, so the per-interval cycle weights along the path sum
 //!   to precisely the makespan (coverage 100%, against the ≥95% floor the
 //!   `rr-prof/v1` schema enforces).
-//! * **Where does *measured* replay time go?** [`execute_threaded_profiled`]
-//!   is a span-instrumented twin of
-//!   [`execute_threaded`](crate::execute_threaded): same queue, same
-//!   locks, same execution — plus per-worker timelines (exec / queue-pop /
-//!   dep-wait / idle), ready-heap depth samples, lock counters, and
-//!   first-error latency, returned as an
-//!   [`EngineProf`](relaxreplay::prof::EngineProf). The production
-//!   executor is left byte-for-byte untouched, so profiling *off* is
-//!   zero-cost by construction; `tests/observability.rs` proves the
-//!   profiled twin's outcomes identical.
+//! * **Where does *measured* replay time go?** [`EngineProfiler`] is an
+//!   [`EngineProbe`] for the one threaded executor,
+//!   [`execute_threaded`](crate::execute_threaded): it records
+//!   per-worker timelines (exec / queue-pop / dep-wait / idle), ready-heap
+//!   depth samples, lock counters, and first-error latency, and yields an
+//!   [`EngineProf`](relaxreplay::prof::EngineProf). Production replay
+//!   passes the `()` probe, whose hooks are empty and read no clock, so
+//!   profiling *off* costs nothing and profiling *on* measures the code
+//!   that ships; `tests/observability.rs` checks that both probes give
+//!   the same outcomes and the same typed errors.
 //!
 //! Results serialize to the `<slug>.prof.json` sidecar (schema
 //! `rr-prof/v1`, [`prof_json`]) written next to the trace/metrics
@@ -28,22 +28,21 @@
 //! [`relaxreplay::prof::engine_chrome_trace`].
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use relaxreplay::prof::{EngineProf, SpanKind, WorkerProf, PROF_SCHEMA};
 use relaxreplay::trace::json;
 use relaxreplay::IntervalOrdering;
-use rr_isa::{Interp, MemImage, Program, SharedMem};
-use rr_mem::CoreId;
+use rr_isa::{MemImage, Program};
 
 use crate::cost::{CostModel, ReplayEvents};
 use crate::dag::IntervalDag;
+use crate::engine::{execute_threaded, EngineProbe};
 use crate::patch::PatchedLog;
-use crate::replayer::{check_end_state, exec_interval_ops, ReplayError, ReplayOutcome};
+use crate::replayer::{ReplayError, ReplayOutcome};
 
 /// Cycle-cost kinds the blame report decomposes the critical path into.
 /// `user` is native block execution; the rest are the OS control-module
@@ -285,21 +284,106 @@ pub fn prof_json(entries: &[ProfEntry]) -> String {
     s
 }
 
-struct CoreState<'p> {
-    interp: Interp<'p>,
-    trace: Vec<u64>,
-    events: ReplayEvents,
+/// The profiling [`EngineProbe`]: per-worker span timelines (exec /
+/// queue-pop / dep-wait / idle), ready-heap depth at each pop,
+/// lock-acquisition counters, and the latency to the first replay error,
+/// all in nanoseconds since the pool started.
+#[derive(Debug)]
+pub struct EngineProfiler {
+    t0: Instant,
+    nodes: usize,
+    wall_ns: u64,
+    workers: Mutex<Vec<WorkerProf>>,
+    /// Earliest error instant; `u64::MAX` while no interval has failed.
+    first_error_ns: AtomicU64,
 }
 
-struct Queue {
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
-    executed: usize,
-    done: bool,
+impl Default for EngineProfiler {
+    fn default() -> Self {
+        EngineProfiler {
+            t0: Instant::now(),
+            nodes: 0,
+            wall_ns: 0,
+            workers: Mutex::new(Vec::new()),
+            first_error_ns: AtomicU64::new(u64::MAX),
+        }
+    }
+}
+
+impl EngineProfiler {
+    /// The collected profile, workers in pool order.
+    #[must_use]
+    pub fn into_prof(self) -> EngineProf {
+        let mut workers = self.workers.into_inner().expect("prof sink poisoned");
+        workers.sort_by_key(|w| w.worker);
+        EngineProf {
+            workers,
+            wall_ns: self.wall_ns,
+            nodes: self.nodes,
+            first_error_ns: match self.first_error_ns.into_inner() {
+                u64::MAX => None,
+                ns => Some(ns),
+            },
+        }
+    }
+}
+
+impl EngineProbe for EngineProfiler {
+    type Worker = WorkerProf;
+
+    fn worker(&self, index: usize) -> WorkerProf {
+        WorkerProf::new(index)
+    }
+
+    fn now(&self) -> u64 {
+        self.t0.elapsed().as_nanos() as u64
+    }
+
+    fn begin(&mut self, nodes: usize) {
+        self.nodes = nodes;
+        self.t0 = Instant::now();
+    }
+
+    fn end(&mut self) {
+        self.wall_ns = self.now();
+    }
+
+    fn retire(&self, worker: WorkerProf) {
+        self.workers
+            .lock()
+            .expect("prof sink poisoned")
+            .push(worker);
+    }
+
+    fn span(&self, w: &mut WorkerProf, kind: SpanKind, since: u64, core: usize, node: usize) {
+        w.push_span(kind, since, self.now() - since, core as u32, node as u64);
+        if kind == SpanKind::Exec {
+            w.executed += 1;
+        }
+    }
+
+    fn queue_lock(&self, w: &mut WorkerProf) {
+        w.queue_locks += 1;
+    }
+
+    fn popped(&self, w: &mut WorkerProf, depth: usize) {
+        w.heap_depth.push(depth as u32);
+    }
+
+    fn core_lock(&self, w: &mut WorkerProf, contended: bool) {
+        w.core_locks += 1;
+        w.core_locks_contended += u64::from(contended);
+    }
+
+    fn failed(&self) {
+        self.first_error_ns.fetch_min(self.now(), Ordering::Relaxed);
+    }
 }
 
 /// [`crate::replay_threaded`] with engine profiling: replays the recorded
-/// partial order on `workers` OS threads, returning the outcome *and* the
-/// per-worker profile.
+/// partial order (or, without `orderings`, the total-order chain) on
+/// `workers` OS threads under an [`EngineProfiler`], returning the
+/// outcome *and* the per-worker profile.
 ///
 /// # Errors
 ///
@@ -316,243 +400,9 @@ pub fn replay_threaded_profiled(
         Some(o) => IntervalDag::partial_order(programs.len(), logs, o)?,
         None => IntervalDag::total_order(programs.len(), logs)?,
     };
-    execute_threaded_profiled(programs, &dag, mem, cost, workers)
-}
-
-/// The span-instrumented twin of [`crate::execute_threaded`]: same ready
-/// heap, same locks, same interval execution — every worker additionally
-/// records its span timeline (exec / queue-pop / dep-wait / idle),
-/// ready-heap depth at each pop, lock-acquisition counters, and the
-/// latency to the first replay error.
-///
-/// The production executor is not touched by this instrumentation (it is
-/// a separate function), so disabled profiling costs nothing; the twin's
-/// outcome is identical to the production executor's on every input
-/// (asserted across the litmus suite by `tests/observability.rs`).
-///
-/// # Errors
-///
-/// As [`crate::execute_threaded`].
-pub fn execute_threaded_profiled(
-    programs: &[Program],
-    dag: &IntervalDag<'_>,
-    mem: MemImage,
-    cost: &CostModel,
-    workers: usize,
-) -> Result<(ReplayOutcome, EngineProf), ReplayError> {
-    if dag.threads() != programs.len() {
-        return Err(ReplayError::ThreadCountMismatch {
-            programs: programs.len(),
-            logs: dag.threads(),
-        });
-    }
-    let nodes = dag.nodes();
-    let shared = SharedMem::from_image(&mem);
-    drop(mem);
-
-    let cores: Vec<Mutex<CoreState>> = programs
-        .iter()
-        .map(|p| {
-            Mutex::new(CoreState {
-                interp: Interp::new(p),
-                trace: Vec::new(),
-                events: ReplayEvents::default(),
-            })
-        })
-        .collect();
-    let deps: Vec<AtomicUsize> = nodes.iter().map(|n| AtomicUsize::new(n.preds)).collect();
-    let queue = Mutex::new(Queue {
-        ready: nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.preds == 0)
-            .map(|(i, n)| Reverse((n.timestamp, i)))
-            .collect(),
-        executed: 0,
-        done: nodes.is_empty(),
-    });
-    let cond = Condvar::new();
-    let error: Mutex<Option<ReplayError>> = Mutex::new(None);
-    let profs: Mutex<Vec<WorkerProf>> = Mutex::new(Vec::new());
-    // Earliest error instant, ns since t0; u64::MAX = no error yet.
-    let first_error_ns = AtomicU64::new(u64::MAX);
-    let t0 = Instant::now();
-
-    let pool = workers.clamp(1, nodes.len().max(1));
-    std::thread::scope(|s| {
-        for widx in 0..pool {
-            let (queue, cond, error, cores, deps, profs, shared, first_error_ns) = (
-                &queue,
-                &cond,
-                &error,
-                &cores,
-                &deps,
-                &profs,
-                &shared,
-                &first_error_ns,
-            );
-            s.spawn(move || {
-                let now = || t0.elapsed().as_nanos() as u64;
-                let mut wp = WorkerProf::new(widx);
-                let mut memh = shared.handle();
-                'work: loop {
-                    let span_begin = now();
-                    let node = {
-                        wp.queue_locks += 1;
-                        let mut q = queue.lock().expect("replay queue poisoned");
-                        let mut span_begin = span_begin;
-                        loop {
-                            if q.done {
-                                drop(q);
-                                wp.push_span(SpanKind::Idle, span_begin, now() - span_begin, 0, 0);
-                                break 'work;
-                            }
-                            if let Some(Reverse((_, id))) = q.ready.pop() {
-                                wp.heap_depth.push((q.ready.len() + 1) as u32);
-                                wp.push_span(
-                                    SpanKind::QueuePop,
-                                    span_begin,
-                                    now() - span_begin,
-                                    0,
-                                    0,
-                                );
-                                break id;
-                            }
-                            let wait_begin = now();
-                            q = cond.wait(q).expect("replay queue poisoned");
-                            // A wake into shutdown was idle time, not a
-                            // dependency stall; classify at resolution.
-                            if q.done {
-                                drop(q);
-                                wp.push_span(SpanKind::Idle, wait_begin, now() - wait_begin, 0, 0);
-                                break 'work;
-                            }
-                            wp.push_span(SpanKind::DepWait, wait_begin, now() - wait_begin, 0, 0);
-                            span_begin = now();
-                        }
-                    };
-                    let n = &nodes[node];
-                    let exec_begin = now();
-                    let result = {
-                        wp.core_locks += 1;
-                        let mut cs = match cores[n.core].try_lock() {
-                            Ok(g) => g,
-                            Err(_) => {
-                                wp.core_locks_contended += 1;
-                                cores[n.core].lock().expect("core state poisoned")
-                            }
-                        };
-                        cs.events.intervals += 1;
-                        let CoreState {
-                            interp,
-                            trace,
-                            events,
-                        } = &mut *cs;
-                        exec_interval_ops(
-                            n.ops,
-                            CoreId::new(n.core as u8),
-                            interp,
-                            &mut memh,
-                            trace,
-                            events,
-                        )
-                    };
-                    wp.push_span(
-                        SpanKind::Exec,
-                        exec_begin,
-                        now() - exec_begin,
-                        n.core as u32,
-                        node as u64,
-                    );
-                    wp.executed += 1;
-                    match result {
-                        Err(e) => {
-                            first_error_ns.fetch_min(now(), Ordering::Relaxed);
-                            let mut slot = error.lock().expect("error slot poisoned");
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            drop(slot);
-                            let mut q = queue.lock().expect("replay queue poisoned");
-                            q.done = true;
-                            drop(q);
-                            cond.notify_all();
-                            break 'work;
-                        }
-                        Ok(()) => {
-                            let mut newly_ready = Vec::new();
-                            for &succ in &n.succs {
-                                if deps[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    newly_ready.push(succ);
-                                }
-                            }
-                            wp.queue_locks += 1;
-                            let mut q = queue.lock().expect("replay queue poisoned");
-                            q.executed += 1;
-                            if q.executed == nodes.len() {
-                                q.done = true;
-                            }
-                            for id in newly_ready {
-                                q.ready.push(Reverse((nodes[id].timestamp, id)));
-                            }
-                            let wake = q.done || !q.ready.is_empty();
-                            drop(q);
-                            if wake {
-                                cond.notify_all();
-                            }
-                        }
-                    }
-                }
-                profs.lock().expect("prof sink poisoned").push(wp);
-            });
-        }
-    });
-
-    let mut prof = EngineProf {
-        workers: profs.into_inner().expect("prof sink poisoned"),
-        wall_ns: t0.elapsed().as_nanos() as u64,
-        nodes: nodes.len(),
-        first_error_ns: match first_error_ns.into_inner() {
-            u64::MAX => None,
-            ns => Some(ns),
-        },
-    };
-    prof.workers.sort_by_key(|w| w.worker);
-
-    if let Some(e) = error.into_inner().expect("error slot poisoned") {
-        return Err(e);
-    }
-    let q = queue.into_inner().expect("replay queue poisoned");
-    if q.executed != nodes.len() {
-        return Err(ReplayError::CyclicOrdering {
-            executed: q.executed,
-            intervals: nodes.len(),
-        });
-    }
-
-    let mut interps = Vec::with_capacity(cores.len());
-    let mut traces = Vec::with_capacity(cores.len());
-    let mut events = ReplayEvents::default();
-    for c in cores {
-        let cs = c.into_inner().expect("core state poisoned");
-        events.merge(&cs.events);
-        traces.push(cs.trace);
-        interps.push(cs.interp);
-    }
-    check_end_state(programs, &interps)?;
-
-    let user_cycles = cost.user_cycles(&events);
-    let os_cycles = cost.os_cycles(&events);
-    Ok((
-        ReplayOutcome {
-            mem: shared.to_image(),
-            load_traces: traces,
-            events,
-            user_cycles,
-            os_cycles,
-        },
-        prof,
-    ))
+    let mut profiler = EngineProfiler::default();
+    let outcome = execute_threaded(programs, &dag, mem, cost, workers, &mut profiler)?;
+    Ok((outcome, profiler.into_prof()))
 }
 
 #[cfg(test)]
@@ -561,6 +411,7 @@ mod tests {
     use crate::patch::patch;
     use relaxreplay::{IntervalLog, LogEntry};
     use rr_isa::{ProgramBuilder, Reg};
+    use rr_mem::CoreId;
 
     /// Two independent one-interval threads: core 0 stores 7 to its own
     /// word, core 1 stores 9 — no communication, so any interleaving is a
@@ -621,10 +472,11 @@ mod tests {
         let cost = CostModel::splash_default();
         let dag = IntervalDag::total_order(programs.len(), &logs).expect("builds");
         let plain =
-            crate::execute_threaded(&programs, &dag, MemImage::new(), &cost, 2).expect("replays");
-        let (profiled, prof) =
-            execute_threaded_profiled(&programs, &dag, MemImage::new(), &cost, 2)
-                .expect("replays profiled");
+            execute_threaded(&programs, &dag, MemImage::new(), &cost, 2, &mut ()).expect("replays");
+        let mut profiler = EngineProfiler::default();
+        let profiled = execute_threaded(&programs, &dag, MemImage::new(), &cost, 2, &mut profiler)
+            .expect("replays profiled");
+        let prof = profiler.into_prof();
 
         assert!(plain.mem.contents_eq(&profiled.mem));
         assert_eq!(plain.load_traces, profiled.load_traces);
@@ -651,7 +503,8 @@ mod tests {
         let dag = IntervalDag::total_order(programs.len(), &logs).expect("builds");
         let blame = critical_path_blame(&dag, &cost);
         let (_, engine) =
-            execute_threaded_profiled(&programs, &dag, MemImage::new(), &cost, 2).expect("replays");
+            replay_threaded_profiled(&programs, &logs, None, MemImage::new(), &cost, 2)
+                .expect("replays");
         let doc = prof_json(&[
             ProfEntry {
                 run: "tiny".into(),

@@ -307,7 +307,7 @@ pub fn run_metrics(run: &RunResult) -> MetricsRegistry {
                 &format!("rec.{label}.intervals_per_core"),
                 log.intervals() as u64,
             );
-            flat_bytes += log.encode_flat().len() as u64;
+            flat_bytes += log.flat_len() as u64;
             wire_bytes += log.encode().len() as u64;
         }
         m.set(&format!("rec.{label}.flat_bytes"), flat_bytes);

@@ -9,9 +9,7 @@
 //! `rr-inspect` — speaks the trait, so a plain directory path and an
 //! `rr://host:port/run` URL are interchangeable.
 //!
-//! * [`LocalStore`] wraps the `logdir` run-directory format (the old
-//!   `save_run`/`load_run`/`list_runs` free functions survive as thin
-//!   deprecated wrappers over it).
+//! * [`LocalStore`] wraps the `logdir` run-directory format.
 //! * `RemoteStore` (in the `rr-serve` crate, which depends on this one)
 //!   speaks the RRSP/v1 protocol to a running `rr-serve`.
 //! * [`StoreSpec`] is the URL parser: pure string classification with no
@@ -354,15 +352,15 @@ impl RunStore for LocalStore {
     }
 
     fn save_run(&self, name: &str, result: &RunResult) -> Result<u64, StoreError> {
-        Ok(logdir::save_run_impl(&self.root, name, result)?)
+        Ok(logdir::save_run(&self.root, name, result)?)
     }
 
     fn load_run_with(&self, name: &str, workers: usize) -> Result<SavedRun, StoreError> {
-        Ok(logdir::load_run_impl(&self.root, name, workers)?)
+        Ok(logdir::load_run(&self.root, name, workers)?)
     }
 
     fn list_runs(&self) -> Result<Vec<String>, StoreError> {
-        Ok(logdir::list_runs_impl(&self.root)?)
+        Ok(logdir::list_runs(&self.root)?)
     }
 
     fn stat_run(&self, name: &str) -> Result<RunStat, StoreError> {

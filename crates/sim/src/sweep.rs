@@ -156,7 +156,7 @@ impl SweepReport {
     pub fn save_logs(&self, dir: &std::path::Path) -> Result<u64, LogDirError> {
         let mut bytes = 0u64;
         for o in &self.outputs {
-            bytes += crate::logdir::save_run_impl(dir, &o.name, &o.run)?;
+            bytes += crate::logdir::save_run(dir, &o.name, &o.run)?;
         }
         Ok(bytes)
     }

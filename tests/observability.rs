@@ -8,17 +8,20 @@
 //! * a forced verification divergence produces a `divergence.md` forensics
 //!   report carrying both the record-side and replay-side event windows;
 //! * the `rr-prof` subsystem is the same kind of pure side channel: the
-//!   profiled codec decoder and the profiled replay engine produce results
-//!   identical to their unprofiled twins on every litmus shape, and the
+//!   codec decoder and the threaded replay engine return identical
+//!   results — typed replay errors included — under the `()` probe and
+//!   under the profiling probes on every litmus shape, and the
 //!   `rr-prof/v1` sidecar + per-worker Perfetto timeline both validate.
 
 use relaxreplay::prof::CodecPhases;
 use relaxreplay::trace::{validate_chrome_trace, TraceConfig, TraceLevel};
-use relaxreplay::wire::{decode_chunked, decode_chunked_profiled, encode_chunked};
+use relaxreplay::wire::{decode_chunked, decode_chunked_into, encode_chunked};
+use relaxreplay::IntervalLog;
+use rr_mem::CoreId;
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
-    critical_path_blame, patch, prof_json, replay_threaded, replay_threaded_profiled, CostModel,
-    IntervalDag,
+    critical_path_blame, execute_threaded, patch, prof_json, replay_threaded,
+    replay_threaded_profiled, CostModel, EngineProfiler, IntervalDag, ReplayError, ReplayOp,
 };
 use rr_sim::{replay_and_verify_forensic, RecordSession, RecorderSpec};
 use rr_workloads::{litmus_suite, suite};
@@ -57,9 +60,10 @@ fn rrlog_bytes_are_identical_with_tracing_on_and_off() {
 }
 
 /// Profiling must be invisible: for every litmus shape and recorder
-/// variant, the profiled codec decoder yields the same entries as the
-/// strict decoder (and re-encodes to the same bytes), and the profiled
-/// replay engine's outcome matches the unprofiled engine field for field.
+/// variant, the phase-probed decode yields the same entries as the strict
+/// decoder (and re-encodes to the same bytes), the profiled replay
+/// engine's outcome matches the unprofiled engine field for field, and a
+/// corrupted log fails with the same typed error under both probes.
 #[test]
 fn profiling_changes_no_rrlog_bytes_and_no_replay_outcomes() {
     let specs = RecorderSpec::paper_matrix();
@@ -72,13 +76,14 @@ fn profiling_changes_no_rrlog_bytes_and_no_replay_outcomes() {
         for (v, variant) in result.variants.iter().enumerate() {
             let at = format!("{} variant {v}", w.name);
 
-            // Codec: profiled decode == strict decode, byte-identical
+            // Codec: probed decode == strict decode, byte-identical
             // round trip, and the phase accounting is populated.
             let mut phases = CodecPhases::default();
             for log in &variant.logs {
                 let bytes = encode_chunked(log);
                 let plain = decode_chunked(&bytes).unwrap_or_else(|e| panic!("{at}: {e}"));
-                let profiled = decode_chunked_profiled(&bytes, &mut phases)
+                let mut profiled = IntervalLog::new(CoreId::new(0));
+                decode_chunked_into(&bytes, &mut profiled, &mut phases)
                     .unwrap_or_else(|e| panic!("{at}: {e}"));
                 assert_eq!(plain, profiled, "{at}: profiled decode differs");
                 assert_eq!(
@@ -127,6 +132,40 @@ fn profiling_changes_no_rrlog_bytes_and_no_replay_outcomes() {
             let executed: u64 = engine.workers.iter().map(|p| p.executed).sum();
             assert_eq!(executed, engine.nodes as u64, "{at}");
             assert!(engine.first_error_ns.is_none(), "{at}");
+
+            // Error path: a block run past the end of core 0's program
+            // fails with the same typed error under both probes, and the
+            // profiler times the failure.
+            let mut broken = patched;
+            let end = broken[0]
+                .ops
+                .len()
+                .checked_sub(1)
+                .expect("core 0 has an interval");
+            broken[0]
+                .ops
+                .insert(end, ReplayOp::RunBlock { instrs: 1 << 20 });
+            let dag = IntervalDag::partial_order(w.programs.len(), &broken, &variant.ordering)
+                .unwrap_or_else(|e| panic!("{at}: dag: {e}"));
+            let plain_err =
+                execute_threaded(&w.programs, &dag, w.initial_mem.clone(), &cost, 2, &mut ())
+                    .expect_err("a block past the program end must fail");
+            let mut profiler = EngineProfiler::default();
+            let profiled_err = execute_threaded(
+                &w.programs,
+                &dag,
+                w.initial_mem.clone(),
+                &cost,
+                2,
+                &mut profiler,
+            )
+            .expect_err("the profiled replay must fail too");
+            assert!(
+                matches!(plain_err, ReplayError::BlockEndedEarly { .. }),
+                "{at}: {plain_err}"
+            );
+            assert_eq!(plain_err, profiled_err, "{at}");
+            assert!(profiler.into_prof().first_error_ns.is_some(), "{at}");
         }
     }
 }
